@@ -178,10 +178,6 @@ class Round:
         return done
 
     @property
-    def cpu_s(self):
-        return sum(p.cpu for p in self.procs)
-
-    @property
     def peak_rss_mb(self):
         return max(p.rss_mb for p in self.procs)
 
